@@ -56,5 +56,32 @@ fn bench_incremental_assumptions(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_pigeonhole, bench_incremental_assumptions);
+fn bench_retire_simplify(c: &mut Criterion) {
+    // 5,000 clauses behind one activation literal, all watched on its
+    // negation (the guard is variable 0, so `!act` sorts first): the
+    // teardown a warm IC3 solver does after every run. Each iteration
+    // builds the solver, retires the guard and simplifies; the build is
+    // the same on every iteration.
+    c.bench_function("sat/retire_simplify_5000", |b| {
+        b.iter(|| {
+            let mut s = Solver::new();
+            let act = s.new_var();
+            let vars: Vec<_> = (0..64).map(|_| s.new_var()).collect();
+            for i in 0..5000usize {
+                let (x, y) = (vars[i % 64], vars[(i * 7 + 1) % 64]);
+                s.add_clause([act.neg(), x.lit(i % 3 == 0), y.lit(i % 5 == 0)]);
+            }
+            s.add_clause([act.neg()]);
+            s.simplify();
+            assert_eq!(s.num_clauses(), 0);
+        })
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_pigeonhole,
+    bench_incremental_assumptions,
+    bench_retire_simplify
+);
 criterion_main!(benches);

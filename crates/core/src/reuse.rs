@@ -38,7 +38,7 @@
 
 use japrove_ic3::ClauseSource;
 use japrove_logic::Clause;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -65,6 +65,11 @@ struct Shard {
     /// Literal code → slots of clauses containing that literal.
     occur: HashMap<u32, Vec<u32>>,
     live: usize,
+    /// Every clause this shard ever inserted, evicted ones included.
+    /// Such a clause is subsumed by a stored one forever after (an
+    /// evicted clause by its evictor, transitively), so re-publishing
+    /// it is a no-op that [`ClauseDb::publish`] can skip in O(1).
+    accepted: HashSet<Clause>,
 }
 
 impl Shard {
@@ -218,7 +223,11 @@ impl ClauseDb {
     }
 
     /// Appends clauses, dropping duplicates and clauses subsumed by an
-    /// existing entry. Returns how many were actually added.
+    /// existing entry. Returns how many were actually added. A clause
+    /// the store already accepted once (since the last
+    /// [`ClauseDb::clear`]) is skipped by a hash lookup, before any
+    /// subsumption probe: proofs that carry their whole import set
+    /// re-offer mostly such clauses.
     pub fn publish<I: IntoIterator<Item = Clause>>(&self, clauses: I) -> usize {
         let mut added = 0;
         for clause in clauses {
@@ -226,8 +235,11 @@ impl ClauseDb {
                 Some(n) => n,
                 None => continue, // tautology carries no information
             };
-            let sig = signature(&normalized);
             let home = ClauseDb::shard_of(&normalized);
+            if self.lock(home).accepted.contains(&normalized) {
+                continue;
+            }
+            let sig = signature(&normalized);
             // Check and evict in the *other* shards first, one lock at
             // a time. The home shard is handled last, atomically:
             // identical clauses hash to the same home shard, so the
@@ -248,6 +260,7 @@ impl ClauseDb {
                     continue;
                 }
                 shard.evict_subsumed(&normalized, sig);
+                shard.accepted.insert(normalized.clone());
                 shard.insert(normalized.clone(), sig);
             }
             {
@@ -457,6 +470,27 @@ mod tests {
         // A weaker clause is not added.
         assert_eq!(db.publish([clause(&[(0, true), (2, false)])]), 0);
         assert_eq!(db.len(), 1);
+    }
+
+    #[test]
+    fn republishing_accepted_clauses_is_a_no_op() {
+        let db = ClauseDb::new();
+        let weak = clause(&[(0, true), (1, false)]);
+        let other = clause(&[(2, true), (3, true)]);
+        assert_eq!(db.publish([weak.clone(), other.clone()]), 2);
+        let v = db.version();
+        assert_eq!(db.publish([other.clone(), weak.clone()]), 0);
+        assert_eq!(db.version(), v);
+        // A stronger clause evicts `weak`; re-offering it stays a no-op.
+        let strong = clause(&[(0, true)]);
+        assert_eq!(db.publish([strong.clone()]), 1);
+        let v = db.version();
+        assert_eq!(db.publish([weak.clone(), strong, other]), 0);
+        assert_eq!(db.version(), v);
+        assert_eq!(db.len(), 2);
+        // Clearing forgets what was accepted.
+        db.clear();
+        assert_eq!(db.publish([weak]), 1);
     }
 
     #[test]

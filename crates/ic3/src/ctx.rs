@@ -10,15 +10,18 @@
 //! activation literals ([`SatBackend::add_clause_guarded`]), which are
 //! retired and simplified away when a check finishes, so the next
 //! property starts from a *warm* solver that still holds the encoding
-//! (and its accumulated learnt clauses).
+//! (and its accumulated learnt clauses). What a JA run shares across
+//! properties, the assumed-property constraints and the imported
+//! clauses, stays resident in the warm solver instead (see `Layers`).
 //!
 //! [`SatBackend::add_clause_guarded`]: japrove_sat::SatBackend::add_clause_guarded
 
 use crate::{CheckOutcome, Ic3, Ic3Options, RunStats, TsEncoding};
-use japrove_logic::Clause;
+use japrove_logic::{Clause, Var};
 use japrove_obs::Journal;
 use japrove_sat::{BackendChoice, SatBackend};
 use japrove_tsys::{PropertyId, TransitionSystem};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// A live, growing source of strengthening clauses.
@@ -46,6 +49,109 @@ pub trait ClauseSource {
     fn clauses_since(&self, since: u64) -> (Vec<Clause>, u64) {
         let _ = since;
         (self.clauses(), self.version())
+    }
+}
+
+/// The JA layers of a consecution solver: the assumed-property
+/// constraints and the imported strengthening clauses, each behind one
+/// activation literal.
+///
+/// In a JA run every check assumes the same properties and imports
+/// from the same growing store, so a warm [`SolverCtx`] keeps both
+/// layers *resident* between checks and adds only imports it has not
+/// seen yet. That is sound because an imported clause holds in every
+/// reachable state of the system projected on the layer's assumed set
+/// (§6-B), whichever property is checked next. A check under a
+/// different assumed set retires both layers and starts new ones.
+#[derive(Debug)]
+pub(crate) struct Layers {
+    /// The assumed set the layers were built for.
+    pub(crate) assumed: Vec<PropertyId>,
+    /// Guard of the assumed-property constraints; `None` when nothing
+    /// is assumed.
+    pub(crate) assume_act: Option<Var>,
+    /// Guard of the imported clauses, allocated with the first one.
+    pub(crate) import_act: Option<Var>,
+    /// The resident imported clauses, normalized, in installation
+    /// order. Every certificate carries all of them.
+    pub(crate) imported: Vec<Clause>,
+    imported_set: HashSet<Clause>,
+}
+
+impl Layers {
+    /// Layers for `assumed` holding `imported`, not yet in any solver
+    /// (see [`Layers::install`]).
+    pub(crate) fn new(assumed: Vec<PropertyId>, imported: Vec<Clause>) -> Self {
+        let mut layers = Layers {
+            assumed,
+            assume_act: None,
+            import_act: None,
+            imported: Vec::new(),
+            imported_set: HashSet::new(),
+        };
+        for clause in imported {
+            layers.remember(clause);
+        }
+        layers
+    }
+
+    /// Records `clause` unless it is a tautology or already resident;
+    /// returns the normalized clause if it is new.
+    fn remember(&mut self, clause: Clause) -> Option<&Clause> {
+        // Store clauses arrive normalized: try them as they are before
+        // paying for a normalized copy.
+        if self.imported_set.contains(&clause) {
+            return None;
+        }
+        let normalized = clause.normalized()?;
+        if !self.imported_set.insert(normalized.clone()) {
+            return None;
+        }
+        self.imported.push(normalized);
+        self.imported.last()
+    }
+
+    /// Installs both layers into a solver holding only the base
+    /// content, under fresh activation literals: the import layer
+    /// first, then the assumed-property constraints.
+    pub(crate) fn install(&mut self, solver: &mut dyn SatBackend, enc: &TsEncoding) {
+        self.import_act = None;
+        if !self.imported.is_empty() {
+            let a = solver.new_var();
+            for clause in &self.imported {
+                solver.add_clause_guarded(a, clause.lits());
+            }
+            self.import_act = Some(a);
+        }
+        self.assume_act = None;
+        if !self.assumed.is_empty() {
+            let a = solver.new_var();
+            for &p in &self.assumed {
+                solver.add_clause_guarded(a, &[enc.good_lit(p)]);
+            }
+            self.assume_act = Some(a);
+        }
+    }
+
+    /// Adds `clause` to the import layer of `solver` unless it is
+    /// already resident; returns `true` if it was new.
+    pub(crate) fn import(&mut self, solver: &mut dyn SatBackend, clause: Clause) -> bool {
+        let act = self.import_act;
+        let Some(clause) = self.remember(clause) else {
+            return false;
+        };
+        let act = act.unwrap_or_else(|| solver.new_var());
+        solver.add_clause_guarded(act, clause.lits());
+        self.import_act = Some(act);
+        true
+    }
+
+    /// Retires both guards in `solver`; the next
+    /// [`SatBackend::simplify`] reclaims the layers' clauses.
+    fn retire(&self, solver: &mut dyn SatBackend) {
+        for act in self.import_act.into_iter().chain(self.assume_act) {
+            solver.retire(act);
+        }
     }
 }
 
@@ -88,7 +194,8 @@ const VAR_HEADROOM: u32 = 100_000;
 pub struct SolverCtx {
     enc: Arc<TsEncoding>,
     backend: BackendChoice,
-    cons: Option<Box<dyn SatBackend>>,
+    /// The warm consecution solver with its resident JA layers.
+    cons: Option<(Box<dyn SatBackend>, Layers)>,
     lift: Option<Box<dyn SatBackend>>,
     journal: Journal,
 }
@@ -157,6 +264,12 @@ impl SolverCtx {
     /// it actually changed (pass `0` to force a first refresh). Returns
     /// the verdict and the run statistics.
     ///
+    /// Imported clauses must hold in every reachable state of the
+    /// system projected on `assumed`. They stay resident for later
+    /// checks under the same `assumed` set, and every certificate
+    /// carries all resident imports; a check under another set starts
+    /// without them.
+    ///
     /// # Panics
     ///
     /// Panics if `sys` is not the design this context encodes (design
@@ -171,19 +284,31 @@ impl SolverCtx {
         source: Option<(&dyn ClauseSource, u64)>,
     ) -> (CheckOutcome, RunStats) {
         let opts = opts.backend(self.backend);
-        let mut engine = Ic3::warm(sys, prop, opts, assumed.to_vec(), imported, self, source);
+        let mut engine = Ic3::warm(sys, prop, opts, assumed, imported, self, source);
         let outcome = engine.run();
         let stats = *engine.stats();
         engine.release(self);
         (outcome, stats)
     }
 
-    /// Takes the warm consecution solver, or builds a fresh one with
-    /// the encoding and the design constraints loaded.
-    pub(crate) fn take_cons(&mut self) -> Box<dyn SatBackend> {
-        self.cons
-            .take()
-            .unwrap_or_else(|| base_cons(&self.enc, self.backend))
+    /// Takes the warm consecution solver with its resident layers if
+    /// they were built for `assumed`. Layers for another assumed set
+    /// are retired first: their imports need not hold under `assumed`.
+    /// Without a warm solver, builds a fresh one with the encoding,
+    /// the design constraints and empty layers for `assumed`.
+    pub(crate) fn take_cons(&mut self, assumed: &[PropertyId]) -> (Box<dyn SatBackend>, Layers) {
+        let mut solver = match self.cons.take() {
+            Some((solver, layers)) if layers.assumed == assumed => return (solver, layers),
+            Some((mut solver, stale)) => {
+                stale.retire(solver.as_mut());
+                solver.simplify();
+                solver
+            }
+            None => base_cons(&self.enc, self.backend),
+        };
+        let mut layers = Layers::new(assumed.to_vec(), Vec::new());
+        layers.install(solver.as_mut(), &self.enc);
+        (solver, layers)
     }
 
     /// Takes the warm lifting solver, or builds a fresh one with the
@@ -194,14 +319,20 @@ impl SolverCtx {
             .unwrap_or_else(|| base_lift(&self.enc, self.backend))
     }
 
-    /// Parks a released solver pair for the next check. Solvers that
-    /// grew past the variable headroom (activation variables are never
-    /// reclaimed) or hit an unconditional contradiction are dropped, so
-    /// the next [`SolverCtx::take_cons`] starts clean.
-    pub(crate) fn put_back(&mut self, cons: Box<dyn SatBackend>, lift: Box<dyn SatBackend>) {
+    /// Parks a released solver pair, the consecution solver with its
+    /// resident layers, for the next check. Solvers that grew past the
+    /// variable headroom (activation variables are never reclaimed) or
+    /// hit an unconditional contradiction are dropped, so the next
+    /// [`SolverCtx::take_cons`] starts clean.
+    pub(crate) fn put_back(
+        &mut self,
+        cons: Box<dyn SatBackend>,
+        layers: Layers,
+        lift: Box<dyn SatBackend>,
+    ) {
         let cap = self.enc.num_vars().saturating_add(VAR_HEADROOM);
         if cons.is_ok() && cons.num_vars() <= cap {
-            self.cons = Some(cons);
+            self.cons = Some((cons, layers));
         }
         if lift.is_ok() && lift.num_vars() <= cap {
             self.lift = Some(lift);
@@ -264,7 +395,7 @@ mod tests {
         );
         assert!(a.is_proved());
         assert!(ctx.is_warm());
-        let vars_after_first = ctx.cons.as_ref().expect("warm").num_vars();
+        let vars_after_first = ctx.cons.as_ref().expect("warm").0.num_vars();
         let (b, _) = ctx.check(
             &sys,
             PropertyId::new(1),
@@ -286,7 +417,7 @@ mod tests {
         );
         assert_eq!(c.counterexample().expect("fails").depth, 3);
         // The solver really was reused, not rebuilt: variables only grow.
-        assert!(ctx.cons.as_ref().expect("warm").num_vars() >= vars_after_first);
+        assert!(ctx.cons.as_ref().expect("warm").0.num_vars() >= vars_after_first);
     }
 
     #[test]
@@ -303,6 +434,114 @@ mod tests {
                 "{p}"
             );
         }
+    }
+
+    /// Checks every property of `sys` under `assumed` on one warm
+    /// context, importing every earlier certificate as a JA run does,
+    /// and returns the outcomes in property order.
+    fn warm_ja_sequence(
+        ctx: &mut SolverCtx,
+        sys: &TransitionSystem,
+        assumed: &[PropertyId],
+        opts: Ic3Options,
+    ) -> Vec<CheckOutcome> {
+        let mut store: Vec<Clause> = Vec::new();
+        let mut outcomes = Vec::new();
+        for p in sys.property_ids() {
+            let (out, _) = ctx.check(sys, p, opts, assumed, store.clone(), None);
+            if let Some(cert) = out.certificate() {
+                crate::verify_certificate(sys, p, assumed, cert)
+                    .unwrap_or_else(|e| panic!("{p}: certificate rejected: {e:?}"));
+                store.extend(cert.clauses.iter().cloned());
+            }
+            outcomes.push(out);
+        }
+        outcomes
+    }
+
+    fn family(name: &str) -> japrove_genbench::GeneratedDesign {
+        japrove_genbench::failing_specs()
+            .into_iter()
+            .find(|f| f.name == name)
+            .expect("known family")
+            .generate()
+    }
+
+    #[test]
+    fn resident_layers_match_cold_local_verdicts() {
+        for name in ["syn_6s175", "syn_6s254"] {
+            let design = family(name);
+            let sys = &design.sys;
+            let assumed: Vec<PropertyId> = sys.property_ids().collect();
+            let opts = Ic3Options::new().lifting(crate::Lifting::Respect);
+            let mut ctx = SolverCtx::new(sys);
+            let warm = warm_ja_sequence(&mut ctx, sys, &assumed, opts);
+            for (p, out) in sys.property_ids().zip(&warm) {
+                let cold = Ic3::with_context(sys, p, opts, assumed.clone(), Vec::new()).run();
+                assert_eq!(out.is_proved(), cold.is_proved(), "{name} {p}");
+                assert_eq!(
+                    out.is_proved(),
+                    !design.expected[p.index()].fails_locally(),
+                    "{name} {p}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn switching_the_assumed_set_retires_the_layers() {
+        // The shadowed property fails globally at depth 2 + 5, but
+        // holds once its guard (failing at depth 2) is assumed.
+        let design = japrove_genbench::FamilyParams::new("shadow", 3)
+            .easy_true(2)
+            .shadow_group(2, vec![5])
+            .generate();
+        let sys = &design.sys;
+        let shadowed = sys
+            .property_ids()
+            .find(|p| {
+                let e = design.expected[p.index()];
+                !e.holds_globally() && !e.fails_locally()
+            })
+            .expect("a shadowed property");
+        let local: Vec<PropertyId> = sys.property_ids().collect();
+        let opts = Ic3Options::new().lifting(crate::Lifting::Respect);
+        let mut ctx = SolverCtx::new(sys);
+        let first = warm_ja_sequence(&mut ctx, sys, &local, opts);
+        assert!(first[shadowed.index()].is_proved());
+        // Global check on the same warm solver: neither the assumptions
+        // nor the local proofs' imports may leak into it.
+        let (global, _) = ctx.check(sys, shadowed, opts, &[], Vec::new(), None);
+        assert_eq!(global.counterexample().expect("fails globally").depth, 7);
+        let again = warm_ja_sequence(&mut ctx, sys, &local, opts);
+        assert!(again[shadowed.index()].is_proved());
+    }
+
+    #[test]
+    fn layers_survive_mid_run_rebuilds() {
+        let design = family("syn_6s254");
+        let sys = &design.sys;
+        let assumed: Vec<PropertyId> = sys.property_ids().collect();
+        let mut opts = Ic3Options::new().lifting(crate::Lifting::Respect);
+        opts.rebuild_interval = 2;
+        let mut ctx = SolverCtx::new(sys);
+        let outcomes = warm_ja_sequence(&mut ctx, sys, &assumed, opts);
+        for (p, out) in sys.property_ids().zip(&outcomes) {
+            let expect_proved = !design.expected[p.index()].fails_locally();
+            assert_eq!(out.is_proved(), expect_proved, "{p}");
+        }
+        let resident = ctx.cons.as_ref().expect("warm").1.imported.clone();
+        assert!(!resident.is_empty(), "proofs left imports behind");
+        // A check that imports nothing still runs on, and certifies
+        // with, the resident import layer.
+        let p = sys
+            .property_ids()
+            .find(|p| !design.expected[p.index()].fails_locally())
+            .expect("a locally true property");
+        let (out, _) = ctx.check(sys, p, opts, &assumed, Vec::new(), None);
+        let cert = out.certificate().expect("holds locally");
+        assert!(resident.iter().all(|c| cert.clauses.contains(c)));
+        assert!(crate::verify_certificate(sys, p, &assumed, cert).is_ok());
     }
 
     /// A toy source that versions a mutex-guarded clause vector.

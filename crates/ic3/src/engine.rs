@@ -12,7 +12,7 @@
 //! * **clause re-use** (§6): externally supplied state clauses that
 //!   over-approximate the reachable states seed every frame.
 
-use crate::ctx::{base_cons, base_lift, ClauseSource, SolverCtx};
+use crate::ctx::{base_cons, base_lift, ClauseSource, Layers, SolverCtx};
 use crate::{
     Certificate, CheckOutcome, Counterexample, Ic3Options, Lifting, RunStats, TsEncoding,
     UnknownReason,
@@ -22,7 +22,7 @@ use japrove_obs::{EventKind, Journal};
 use japrove_sat::{SatBackend, SolveResult, SolverStats};
 use japrove_tsys::{complete_trace, PropertyId, TransitionSystem};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -91,26 +91,19 @@ pub struct Ic3<'a> {
     enc: Arc<TsEncoding>,
     prop: PropertyId,
     opts: Ic3Options,
-    assumed: Vec<PropertyId>,
-    imported: Vec<Clause>,
-    /// Activation literal guarding every imported clause; present iff
-    /// clauses were imported or a refresh source is attached. Guarding
-    /// (instead of adding the clauses outright) lets a warm solver
-    /// retire one property's imports before the next property's run.
-    imported_act: Option<Var>,
+    /// The assumed properties and the imported clauses, each behind an
+    /// activation literal of `cons`. On a warm [`SolverCtx`] they stay
+    /// resident across checks; only the frames are per run.
+    layers: Layers,
     /// Live store to poll for clauses published while this engine runs.
     source: Option<&'a dyn ClauseSource>,
-    /// Last [`ClauseSource::version`] already folded into `imported`.
+    /// Last [`ClauseSource::version`] already folded into the imports.
     source_version: u64,
-    /// Normalized forms of `imported`, for refresh deduplication (only
-    /// maintained when `source` is attached).
-    imported_set: HashSet<Clause>,
     /// Delta-encoded frames: `frames[j]` holds the cubes blocked
     /// exactly at level `j`; level 0 is the initial-state frame.
     frames: Vec<Vec<Cube>>,
     cons: Box<dyn SatBackend>,
     frame_act: Vec<Var>,
-    prop_cons_act: Option<Var>,
     cons_temp: usize,
     lift: Box<dyn SatBackend>,
     lift_temp: usize,
@@ -158,14 +151,18 @@ impl<'a> Ic3<'a> {
         imported: Vec<Clause>,
     ) -> Self {
         let enc = Arc::new(TsEncoding::new(sys));
-        let cons = base_cons(&enc, opts.backend);
+        let mut cons = base_cons(&enc, opts.backend);
+        let mut layers = Layers::new(assumed, imported);
+        layers.install(cons.as_mut(), &enc);
         let lift = base_lift(&enc, opts.backend);
-        Ic3::build(sys, enc, cons, lift, prop, opts, assumed, imported, None)
+        Ic3::build(sys, enc, cons, layers, lift, prop, opts, None)
     }
 
     /// Creates an engine on a warm [`SolverCtx`]: the shared encoding
     /// and (if available) the parked solver pair are taken from the
-    /// context instead of being rebuilt from the AIG. The engine must
+    /// context instead of being rebuilt from the AIG. Resident layers
+    /// built for the same `assumed` set are reused, and only the
+    /// `imported` clauses not resident yet are added. The engine must
     /// be handed back with [`Ic3::release`] once the run is over;
     /// [`SolverCtx::check`] wraps the full cycle.
     ///
@@ -178,7 +175,7 @@ impl<'a> Ic3<'a> {
         sys: &'a TransitionSystem,
         prop: PropertyId,
         opts: Ic3Options,
-        assumed: Vec<PropertyId>,
+        assumed: &[PropertyId],
         imported: Vec<Clause>,
         ctx: &mut SolverCtx,
         source: Option<(&'a dyn ClauseSource, u64)>,
@@ -193,30 +190,29 @@ impl<'a> Ic3<'a> {
             enc.design(),
             sys.name()
         );
-        let cons = ctx.take_cons();
+        let (mut cons, mut layers) = ctx.take_cons(assumed);
+        for clause in imported {
+            layers.import(cons.as_mut(), clause);
+        }
         let lift = ctx.take_lift();
-        let mut engine = Ic3::build(sys, enc, cons, lift, prop, opts, assumed, imported, source);
+        let mut engine = Ic3::build(sys, enc, cons, layers, lift, prop, opts, source);
         engine.set_journal(ctx.journal().clone());
         engine
     }
 
+    /// Assembles an engine around a consecution solver that already
+    /// holds the base content plus `layers`, and installs the frames.
     #[allow(clippy::too_many_arguments)]
     fn build(
         sys: &'a TransitionSystem,
         enc: Arc<TsEncoding>,
         cons: Box<dyn SatBackend>,
+        layers: Layers,
         lift: Box<dyn SatBackend>,
         prop: PropertyId,
         opts: Ic3Options,
-        assumed: Vec<PropertyId>,
-        imported: Vec<Clause>,
         source: Option<(&'a dyn ClauseSource, u64)>,
     ) -> Self {
-        let imported_set = if source.is_some() {
-            imported.iter().filter_map(Clause::normalized).collect()
-        } else {
-            HashSet::new()
-        };
         let (source, source_version) = match source {
             Some((s, v)) => (Some(s), v),
             None => (None, 0),
@@ -228,16 +224,12 @@ impl<'a> Ic3<'a> {
             enc,
             prop,
             opts,
-            assumed,
-            imported,
-            imported_act: None,
+            layers,
             source,
             source_version,
-            imported_set,
             frames: vec![Vec::new()],
             cons,
             frame_act: Vec::new(),
-            prop_cons_act: None,
             cons_temp: 0,
             lift,
             lift_temp: 0,
@@ -249,26 +241,21 @@ impl<'a> Ic3<'a> {
             lift_base,
             frame_mark: None,
         };
-        engine.install_cons_run();
+        engine.install_frames();
         engine
     }
 
-    /// Ends a warm run: retires every per-run activation literal, lets
-    /// the solvers reclaim the retired clauses and parks the pair in
-    /// `ctx` for the next property.
+    /// Ends a warm run: retires the run's frame activation literals
+    /// (its temporary ones were retired after each query), lets the
+    /// solvers reclaim the retired clauses and parks the pair in `ctx`
+    /// with the resident layers for the next property.
     pub(crate) fn release(mut self, ctx: &mut SolverCtx) {
-        if let Some(a) = self.imported_act {
-            self.cons.retire(a);
-        }
-        if let Some(a) = self.prop_cons_act {
-            self.cons.retire(a);
-        }
         for &a in &self.frame_act {
             self.cons.retire(a);
         }
         self.cons.simplify();
         self.lift.simplify();
-        ctx.put_back(self.cons, self.lift);
+        ctx.put_back(self.cons, self.layers, self.lift);
     }
 
     /// Statistics of the run so far.
@@ -383,36 +370,11 @@ impl<'a> Ic3<'a> {
 
     // ----- solver construction ------------------------------------------
 
-    /// Installs the per-run state into `self.cons`, which must hold
-    /// exactly the base content (encoding + design constraints): the
-    /// imported clauses, the assumed-property constraints and the frame
-    /// clauses, each behind activation literals so a warm solver can
-    /// retire them when the run ends.
-    fn install_cons_run(&mut self) {
-        // Imported clauses behind one activation literal. Allocated
-        // even for an empty import when a refresh source is attached —
-        // refreshed clauses reuse the same guard.
-        self.imported_act = if self.imported.is_empty() && self.source.is_none() {
-            None
-        } else {
-            let a = self.cons.new_var();
-            for clause in &self.imported {
-                self.cons.add_clause_guarded(a, clause.lits());
-            }
-            Some(a)
-        };
-        // Assumed-property constraints behind one activation literal.
-        self.prop_cons_act = if self.assumed.is_empty() {
-            None
-        } else {
-            let a = self.cons.new_var();
-            for &p in &self.assumed {
-                let lit = self.enc.good_lit(p);
-                self.cons.add_clause_guarded(a, &[lit]);
-            }
-            Some(a)
-        };
-        // Frame activation literals and frame clauses.
+    /// Installs the frames into `self.cons`, which must hold the base
+    /// content (encoding + design constraints) and the layers: each
+    /// frame's clauses behind its own activation literal, so a warm
+    /// solver can retire them when the run ends.
+    fn install_frames(&mut self) {
         self.frame_act.clear();
         for level in 0..self.frames.len() {
             let a = self.cons.new_var();
@@ -438,7 +400,8 @@ impl<'a> Ic3<'a> {
         self.cons.set_journal(self.journal.clone());
         self.cons_base = *self.cons.stats();
         self.cons_temp = 0;
-        self.install_cons_run();
+        self.layers.install(self.cons.as_mut(), &self.enc);
+        self.install_frames();
     }
 
     fn rebuild_lift(&mut self) {
@@ -495,18 +458,10 @@ impl<'a> Ic3<'a> {
         }
         let (fresh, cursor) = source.clauses_since(self.source_version);
         self.source_version = cursor;
-        let act = self
-            .imported_act
-            .expect("import guard allocated when a source is attached");
         let offered = fresh.len();
         let mut added = 0usize;
         for clause in fresh {
-            let Some(normalized) = clause.normalized() else {
-                continue;
-            };
-            if self.imported_set.insert(normalized.clone()) {
-                self.cons.add_clause_guarded(act, normalized.lits());
-                self.imported.push(normalized);
+            if self.layers.import(self.cons.as_mut(), clause) {
                 added += 1;
             }
         }
@@ -532,7 +487,7 @@ impl<'a> Ic3<'a> {
     /// reachable state and therefore apply to every query.
     fn frame_assumptions(&self, frame: usize) -> Vec<Lit> {
         let mut assumptions: Vec<Lit> = self.frame_act[frame..].iter().map(|a| a.pos()).collect();
-        if let Some(a) = self.imported_act {
+        if let Some(a) = self.layers.import_act {
             assumptions.push(a.pos());
         }
         assumptions
@@ -572,7 +527,7 @@ impl<'a> Ic3<'a> {
         not_cube.extend(cube.iter().map(|&l| !l));
         self.cons.add_clause(&not_cube);
         let mut assumptions = self.frame_assumptions(frame - 1);
-        if let Some(a) = self.prop_cons_act {
+        if let Some(a) = self.layers.assume_act {
             assumptions.push(a.pos());
         }
         assumptions.push(t.pos());
@@ -666,7 +621,7 @@ impl<'a> Ic3<'a> {
                 clause.extend(self.enc.primed_cube(cube).iter().map(|&pl| !pl));
                 clause.extend(self.enc.constraint_lits().iter().map(|&c| !c));
                 if self.opts.lifting == Lifting::Respect {
-                    for &p in &self.assumed {
+                    for &p in &self.layers.assumed {
                         clause.push(!self.enc.good_lit(p));
                     }
                 }
@@ -852,7 +807,7 @@ impl<'a> Ic3<'a> {
             .iter()
             .flat_map(|level| level.iter().map(Cube::to_clause))
             .collect();
-        clauses.extend(self.imported.iter().cloned());
+        clauses.extend(self.layers.imported.iter().cloned());
         Certificate { clauses }
     }
 

@@ -85,8 +85,29 @@ pub fn top_level_span_us(events: &[Event]) -> u64 {
         .sum()
 }
 
+/// The denominator of the breakdown's share column: the root
+/// [`Phase::Run`] span, or the summed top-level spans
+/// ([`top_level_span_us`]) where those are longer — parallel workers'
+/// top-level spans overlap in time. Neither the root row nor the
+/// top-level rows together can then exceed 100%.
+pub fn share_base_us(events: &[Event]) -> u64 {
+    let root = events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Span {
+                phase: Phase::Run,
+                dur_us,
+                ..
+            } => Some(dur_us),
+            _ => None,
+        })
+        .max()
+        .unwrap_or(0);
+    root.max(top_level_span_us(events))
+}
+
 /// Renders the breakdown as a right-aligned text table with each
-/// phase's share of the given wall-clock.
+/// phase's share of `wall_us` (normally [`share_base_us`]).
 pub fn render_breakdown(rows: &[PhaseRow], wall_us: u64) -> String {
     let mut out = String::from("phase            spans        total    share\n");
     for r in rows {
@@ -128,6 +149,46 @@ mod tests {
         let table = render_breakdown(&rows, 1_000_000);
         assert!(table.contains("cluster"));
         assert!(table.lines().count() == 4);
+    }
+
+    /// The share column of `table`'s row for `phase`, in percent.
+    fn share_of(table: &str, phase: Phase) -> f64 {
+        table
+            .lines()
+            .find(|l| l.split_whitespace().next() == Some(phase.name()))
+            .and_then(|l| l.split_whitespace().last())
+            .and_then(|s| s.trim_end_matches('%').parse().ok())
+            .expect("row with a share")
+    }
+
+    #[test]
+    fn top_level_shares_sum_to_at_most_100_percent() {
+        let j = Journal::new();
+        {
+            let _run = j.span(Phase::Run);
+            drop(j.span(Phase::Plan));
+            drop(j.span(Phase::Encode));
+            // Two workers' top-level spans, overlapping in time.
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    let j = j.clone();
+                    s.spawn(move || {
+                        let _p = j.span(Phase::Property);
+                        std::thread::sleep(std::time::Duration::from_millis(5));
+                    });
+                }
+            });
+        }
+        let events = j.events();
+        let base = share_base_us(&events);
+        let table = render_breakdown(&phase_breakdown(&events), base);
+        let top: f64 = [Phase::Plan, Phase::Encode, Phase::Property]
+            .iter()
+            .map(|&p| share_of(&table, p))
+            .sum();
+        // Rendered shares are rounded to 0.1% each.
+        assert!(top <= 100.15, "top-level shares sum to {top}%:\n{table}");
+        assert!(share_of(&table, Phase::Run) <= 100.0, "{table}");
     }
 
     #[test]

@@ -335,17 +335,17 @@ impl Solver {
             return;
         }
         self.cancel_until(0);
-        let refs: Vec<ClauseRef> = self.store.refs().collect();
-        for cref in refs {
-            let satisfied =
-                self.store.get(cref).lits.iter().any(|&l| {
-                    self.lit_value(l).is_true() && self.level[l.var().index() as usize] == 0
-                });
-            if satisfied && !self.locked(cref) {
-                self.detach(cref);
-                self.store.remove(cref);
-            }
-        }
+        let satisfied: Vec<ClauseRef> = self
+            .store
+            .refs()
+            .filter(|&cref| {
+                !self.locked(cref)
+                    && self.store.get(cref).lits.iter().any(|&l| {
+                        self.lit_value(l).is_true() && self.level[l.var().index() as usize] == 0
+                    })
+            })
+            .collect();
+        self.remove_clauses(&satisfied);
     }
 
     // ----- internals ---------------------------------------------------
@@ -369,13 +369,26 @@ impl Solver {
         self.watches[(!l1).code() as usize].push(Watcher { cref, blocker: l0 });
     }
 
-    fn detach(&mut self, cref: ClauseRef) {
-        let (l0, l1) = {
+    /// Deletes `crefs` from the store and drops their watchers with one
+    /// sweep over each affected watch list. Detaching clause by clause
+    /// would scan a shared list once per clause: quadratic when
+    /// thousands of clauses carry the same activation literal.
+    fn remove_clauses(&mut self, crefs: &[ClauseRef]) {
+        let mut lists: Vec<usize> = Vec::with_capacity(2 * crefs.len());
+        for &cref in crefs {
             let lits = &self.store.get(cref).lits;
-            (lits[0], lits[1])
-        };
-        self.watches[(!l0).code() as usize].retain(|w| w.cref != cref);
-        self.watches[(!l1).code() as usize].retain(|w| w.cref != cref);
+            lists.push((!lits[0]).code() as usize);
+            lists.push((!lits[1]).code() as usize);
+            self.store.remove(cref);
+        }
+        lists.sort_unstable();
+        lists.dedup();
+        // No clause is added before the sweep, so no freed slot has
+        // been recycled yet: a dead slot means a removed clause.
+        let store = &self.store;
+        for w in lists {
+            self.watches[w].retain(|watcher| store.is_live(watcher.cref));
+        }
     }
 
     fn locked(&self, cref: ClauseRef) -> bool {
@@ -669,11 +682,8 @@ impl Solver {
             )
         });
         let to_remove = learnts.len() / 2;
-        for &cref in learnts.iter().take(to_remove) {
-            self.detach(cref);
-            self.store.remove(cref);
-            self.stats.deleted_clauses += 1;
-        }
+        self.remove_clauses(&learnts[..to_remove]);
+        self.stats.deleted_clauses += to_remove as u64;
         self.journal.event(EventKind::Reduce {
             learnt: learnts.len(),
             removed: to_remove,
@@ -989,6 +999,54 @@ mod tests {
         assert_eq!(s.solve(&[v[1].pos(), v[2].neg()]), SolveResult::Unsat);
         assert_eq!(s.solve(&[v[1].pos()]), SolveResult::Sat);
         assert!(s.model_value(v[2].pos()).is_true());
+    }
+
+    #[test]
+    fn retiring_a_shared_guard_leaves_no_stale_watchers() {
+        use japrove_rng::SplitMix64;
+        let mut rng = SplitMix64::seed_from_u64(7);
+        // Variable 0 is the guard: `!act` sorts first in every guarded
+        // clause, so all of them are watched on it and share one list.
+        let n = 25u32;
+        let random_lit =
+            |rng: &mut SplitMix64| Var::new(rng.gen_range(1, n as u64) as u32).lit(rng.gen_bool());
+        let random_clause =
+            |rng: &mut SplitMix64| -> Vec<Lit> { (0..3).map(|_| random_lit(rng)).collect() };
+        let free: Vec<Vec<Lit>> = (0..40).map(|_| random_clause(&mut rng)).collect();
+        let mut s = Solver::new();
+        let mut fresh = Solver::new();
+        s.ensure_vars(n);
+        fresh.ensure_vars(n);
+        let act = Var::new(0);
+        for c in &free {
+            s.add_clause(c.iter().copied());
+            fresh.add_clause(c.iter().copied());
+        }
+        let base = s.num_clauses();
+        for _ in 0..5000 {
+            let mut c = vec![act.neg()];
+            c.extend(random_clause(&mut rng));
+            s.add_clause(c);
+        }
+        assert!(s.num_clauses() - base > 4500, "few tautologies dropped");
+        assert!(s.watches[act.pos().code() as usize].len() > 4500);
+        assert!(s.add_clause([act.neg()]));
+        s.simplify();
+        assert!(s.num_clauses() <= base);
+        for (code, list) in s.watches.iter().enumerate() {
+            for w in list {
+                assert!(
+                    s.store.is_live(w.cref),
+                    "watch list {code} references freed slot {}",
+                    w.cref.index()
+                );
+            }
+        }
+        for _ in 0..200 {
+            let k = rng.gen_index(0, 6);
+            let assumptions: Vec<Lit> = (0..k).map(|_| random_lit(&mut rng)).collect();
+            assert_eq!(s.solve(&assumptions), fresh.solve(&assumptions));
+        }
     }
 
     #[test]

@@ -68,6 +68,13 @@ impl ClauseStore {
         self.free.push(cref.index() as u32);
     }
 
+    /// `true` while `cref` names a stored clause (a removed clause's
+    /// slot stays dead until a later [`ClauseStore::add`] recycles it).
+    #[inline]
+    pub fn is_live(&self, cref: ClauseRef) -> bool {
+        self.slots[cref.index()].is_some()
+    }
+
     #[inline]
     pub fn get(&self, cref: ClauseRef) -> &ClauseData {
         self.slots[cref.index()].as_ref().expect("live clause")

@@ -14,7 +14,7 @@ use japrove::core::{
 use japrove::ic3::Lifting;
 use japrove::mine::MineOptions;
 use japrove::obs::json::Value;
-use japrove::obs::metrics::{phase_breakdown, render_breakdown};
+use japrove::obs::metrics::{phase_breakdown, render_breakdown, share_base_us};
 use japrove::obs::{journal::parse_jsonl, FeatureStore, Journal, Phase, RunRecord};
 use japrove::sat::BackendChoice;
 use japrove::tsys::{write_witness, TransitionSystem};
@@ -747,10 +747,7 @@ fn main() -> ExitCode {
     if cli.metrics {
         let events = journal.events();
         let rows = phase_breakdown(&events);
-        println!(
-            "{}",
-            render_breakdown(&rows, report.total_time.as_micros() as u64)
-        );
+        println!("{}", render_breakdown(&rows, share_base_us(&events)));
     }
     if let Some(path) = &cli.json_out {
         let doc = report_json(&report);
