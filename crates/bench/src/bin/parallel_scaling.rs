@@ -1,13 +1,10 @@
 //! §11 — JA-verification and parallel computing.
 //!
 //! Runs JA-verification on the parallel probe design with increasing
-//! worker counts, once per registered SAT backend, in **three** driver
-//! arms: the pre-incremental cold/FIFO baseline, the incremental
+//! worker counts, once per registered SAT backend, in two driver
+//! arms: the pre-incremental cold/FIFO baseline and the incremental
 //! driver (shared encoding, warm solvers, hardest-first work
-//! stealing), and the learned arm — the incremental driver dispatching
-//! in the order a cost model predicts from the incremental run's own
-//! per-property records, i.e. the second-run-warm configuration. The
-//! per-row speedup is incremental vs. cold at the same thread count,
+//! stealing). The per-row speedup is incremental vs. cold at the same thread count,
 //! i.e. the win of the incrementality itself; on a many-core host the
 //! thread columns additionally show the (near embarrassing) parallel
 //! scaling the paper argues for.
@@ -19,14 +16,9 @@
 //! seconds.
 
 use japrove_bench::{fmt_time, write_json, Json, Table};
-use japrove_core::{
-    parallel_ja_verify_with, CostModel, MultiReport, ParallelMode, SchedulePolicy, SeparateOptions,
-    Session,
-};
+use japrove_core::{parallel_ja_verify, MultiReport, SchedulePolicy, SeparateOptions, Session};
 use japrove_genbench::FamilyParams;
-use japrove_obs::{FeatureStore, RunRecord};
 use japrove_sat::BackendChoice;
-use japrove_tsys::TransitionSystem;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -82,36 +74,6 @@ fn verdict_fingerprint(report: &MultiReport) -> Vec<(bool, bool)> {
         .collect()
 }
 
-/// A feature store seeded from `report`'s per-property records — the
-/// in-memory equivalent of a first `--feature-store` run, so the
-/// learned arm measures the realistic second-run-warm configuration.
-fn warm_store(sys: &TransitionSystem, report: &MultiReport) -> FeatureStore {
-    let design = format!("{:016x}", sys.structural_hash());
-    let mut store = FeatureStore::default();
-    for r in &report.results {
-        let verdict = if r.holds() {
-            "holds"
-        } else if r.fails() {
-            "fails"
-        } else {
-            "unknown"
-        };
-        store.upsert(RunRecord {
-            design: design.clone(),
-            property: r.name.clone(),
-            mode: "parallel".into(),
-            verdict: verdict.into(),
-            time_us: r.time.as_micros() as u64,
-            frames: r.frames as u64,
-            conflicts: r.stats.sat.conflicts,
-            decisions: r.stats.sat.decisions,
-            propagations: r.stats.sat.propagations,
-            restarts: r.stats.sat.restarts,
-        });
-    }
-    store
-}
-
 fn main() -> ExitCode {
     let mut json_path: Option<String> = None;
     let mut small = false;
@@ -142,13 +104,12 @@ fn main() -> ExitCode {
     let thread_counts: &[usize] = if small { &[1, 2] } else { &[1, 2, 4, 8] };
 
     let mut table = Table::new(
-        "Section 11: parallel JA-verification, cold vs incremental vs learned, per backend",
+        "Section 11: parallel JA-verification, cold vs incremental, per backend",
         &[
             "backend",
             "threads",
             "cold-fifo",
             "incremental",
-            "learned",
             "speedup",
             "#true",
             "#unsolved",
@@ -159,29 +120,15 @@ fn main() -> ExitCode {
         let opts = SeparateOptions::local().backend(backend);
         for &threads in thread_counts {
             let (cold_time, cold) = timed_best(repeat, || {
-                parallel_ja_verify_with(sys, threads, &opts, ParallelMode::ColdFifo)
-            });
-            let (incr_time, incr) = timed_best(repeat, || {
-                parallel_ja_verify_with(sys, threads, &opts, ParallelMode::Incremental)
-            });
-            // The learned arm is warm by construction: its cost model
-            // is fed by the incremental run it is compared against.
-            let store = warm_store(sys, &incr);
-            let (learned_time, learned) = timed_best(repeat, || {
                 Session::parallel(opts.clone(), threads)
-                    .schedule(SchedulePolicy::Learned)
-                    .cost_model(CostModel::from_store(&store, sys))
+                    .schedule(SchedulePolicy::Fifo)
                     .run(sys)
             });
+            let (incr_time, incr) = timed_best(repeat, || parallel_ja_verify(sys, threads, &opts));
             assert_eq!(
                 verdict_fingerprint(&cold),
                 verdict_fingerprint(&incr),
                 "{backend} x{threads}: drivers must agree on every verdict"
-            );
-            assert_eq!(
-                verdict_fingerprint(&incr),
-                verdict_fingerprint(&learned),
-                "{backend} x{threads}: the learned schedule must not change verdicts"
             );
             let speedup = cold_time.as_secs_f64() / incr_time.as_secs_f64();
             table.row(&[
@@ -189,7 +136,6 @@ fn main() -> ExitCode {
                 &threads.to_string(),
                 &fmt_time(cold_time),
                 &fmt_time(incr_time),
-                &fmt_time(learned_time),
                 &format!("{speedup:.2}x"),
                 &incr.num_true().to_string(),
                 &incr.num_unsolved().to_string(),
@@ -197,7 +143,6 @@ fn main() -> ExitCode {
             for (mode, report, seconds) in [
                 ("cold-fifo", &cold, cold_time),
                 ("incremental", &incr, incr_time),
-                ("learned", &learned, learned_time),
             ] {
                 let mut row = Json::obj([
                     ("backend", Json::str(backend.name())),
@@ -209,7 +154,7 @@ fn main() -> ExitCode {
                     ("num_false", Json::int(report.num_false() as u64)),
                     ("num_unsolved", Json::int(report.num_unsolved() as u64)),
                 ]);
-                if mode != "cold-fifo" {
+                if mode == "incremental" {
                     row.push(
                         "speedup_vs_cold",
                         Json::num(cold_time.as_secs_f64() / seconds.as_secs_f64()),

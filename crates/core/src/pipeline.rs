@@ -8,8 +8,7 @@
 //!   for the separate/parallel modes, affinity clusters for the
 //!   clustered mode, one aggregate unit for the joint mode), consult
 //!   the [`VerdictCache`] so unchanged-cone properties skip solving,
-//!   and weigh units with the [`CostModel`] (learned schedule) or the
-//!   COI-size proxy;
+//!   and weigh units by the COI-size proxy;
 //! * **Dispatch** — hand units to workers: hardest-first work-stealing
 //!   deques ([`Dispatcher`]), the cold FIFO ticket baseline, or a
 //!   plain in-order walk for the sequential drivers;
@@ -33,9 +32,8 @@
 //! threads the *deal* is deterministic and only the steal timing
 //! varies, which affects speed, never verdicts.
 
-use crate::affinity::affinity_clusters_with_cost;
+use crate::affinity::affinity_clusters_with;
 use crate::cluster::latch_supports;
-use crate::costmodel::CostModel;
 use crate::joint::{aggregate_system, falsified_by_replay};
 use crate::parallel::Dispatcher;
 use crate::separate::{check_one, check_one_imports, local_assumptions, CtxPool};
@@ -69,10 +67,6 @@ pub enum SchedulePolicy {
     /// Declaration-order FIFO ticket dispatch with cold per-property
     /// solvers: the pre-incremental reference baseline.
     Fifo,
-    /// Hardest-first by the [`CostModel`]'s recorded-cost prediction;
-    /// properties without a record fall back to the COI-size proxy.
-    /// Work-stealing dispatch, warm solvers.
-    Learned,
 }
 
 impl SchedulePolicy {
@@ -81,7 +75,6 @@ impl SchedulePolicy {
         match self {
             SchedulePolicy::Steal => "steal",
             SchedulePolicy::Fifo => "fifo",
-            SchedulePolicy::Learned => "learned",
         }
     }
 }
@@ -99,9 +92,8 @@ impl FromStr for SchedulePolicy {
         match s {
             "steal" => Ok(SchedulePolicy::Steal),
             "fifo" => Ok(SchedulePolicy::Fifo),
-            "learned" => Ok(SchedulePolicy::Learned),
             other => Err(format!(
-                "unknown schedule '{other}' (available: steal, fifo, learned)"
+                "unknown schedule '{other}' (available: steal, fifo)"
             )),
         }
     }
@@ -112,9 +104,8 @@ impl FromStr for SchedulePolicy {
 pub struct PlanUnit {
     /// The unit's properties (one for singleton units).
     pub members: Vec<PropertyId>,
-    /// Estimated cost, used for hardest-first ordering: the cost
-    /// model's prediction under the learned schedule, the latch-support
-    /// size proxy otherwise. Cluster weights sum their members.
+    /// Estimated cost, used for hardest-first ordering: the
+    /// latch-support size proxy. Cluster weights sum their members.
     pub weight: f64,
 }
 
@@ -181,7 +172,6 @@ pub struct Session {
     kind: SessionKind,
     threads: usize,
     schedule: SchedulePolicy,
-    cost_model: Option<CostModel>,
     cache: Option<VerdictCache>,
     enumeration: Option<crate::EnumOptions>,
 }
@@ -216,7 +206,6 @@ impl Session {
             kind,
             threads,
             schedule: SchedulePolicy::default(),
-            cost_model: None,
             cache: None,
             enumeration: None,
         }
@@ -234,13 +223,6 @@ impl Session {
     /// Sets the schedule policy (parallel and clustered kinds).
     pub fn schedule(mut self, policy: SchedulePolicy) -> Session {
         self.schedule = policy;
-        self
-    }
-
-    /// Attaches a cost model for the learned schedule and the affinity
-    /// graph's cost signal.
-    pub fn cost_model(mut self, model: CostModel) -> Session {
-        self.cost_model = Some(model);
         self
     }
 
@@ -299,30 +281,6 @@ impl Session {
         }
     }
 
-    /// The weight of one property: the learned prediction when the
-    /// schedule and model provide one, the COI-size proxy otherwise.
-    /// Both are normalized against the design's own maxima, so warm and
-    /// cold properties stay comparable within one plan.
-    fn property_weight(
-        &self,
-        sys: &TransitionSystem,
-        p: PropertyId,
-        supports: &[Vec<usize>],
-        max_support: usize,
-    ) -> f64 {
-        let proxy = if max_support == 0 {
-            0.0
-        } else {
-            supports[p.index()].len() as f64 / max_support as f64
-        };
-        if self.schedule == SchedulePolicy::Learned {
-            if let Some(model) = &self.cost_model {
-                return model.predicted(&sys.property(p).name).unwrap_or(proxy);
-            }
-        }
-        proxy
-    }
-
     /// The Plan stage: verdict-cache consultation, unit formation
     /// (singletons, clusters or one aggregate) and hardest-first
     /// ordering. Public so callers can inspect the dispatch order
@@ -344,12 +302,14 @@ impl Session {
             }
         }
 
+        // The COI-size proxy: each property's latch support, normalized
+        // against the design's largest.
         let supports = latch_supports(sys);
-        let max_support = supports.iter().map(Vec::len).max().unwrap_or(0);
+        let max_support = supports.iter().map(Vec::len).max().unwrap_or(0).max(1) as f64;
         let weigh = |members: &[PropertyId]| -> f64 {
             members
                 .iter()
-                .map(|&p| self.property_weight(sys, p, &supports, max_support))
+                .map(|&p| supports[p.index()].len() as f64 / max_support)
                 .sum()
         };
 
@@ -375,13 +335,12 @@ impl Session {
             SessionKind::Clustered(o) => {
                 let clusters = {
                     let _probe_span = self.journal().span(Phase::AffinityProbe);
-                    affinity_clusters_with_cost(
+                    affinity_clusters_with(
                         sys,
                         o.metric,
                         o.max_group_size,
                         o.min_affinity,
                         o.separate.backend,
-                        self.cost_model.as_ref(),
                     )
                 };
                 clusters
@@ -675,7 +634,7 @@ fn run_parallel(
         SchedulePolicy::Fifo => {
             run_cold_fifo(sys, workers, opts, &assumed, order, &jobs, &db, deadline)
         }
-        SchedulePolicy::Steal | SchedulePolicy::Learned => {
+        SchedulePolicy::Steal => {
             run_incremental(sys, workers, opts, &assumed, order, &jobs, &db, deadline)
         }
     };
@@ -690,7 +649,6 @@ fn run_parallel(
     let mode_label = match schedule {
         SchedulePolicy::Steal => "",
         SchedulePolicy::Fifo => " [cold-fifo]",
-        SchedulePolicy::Learned => " [learned]",
     };
     let mut report = MultiReport::new(sys.name(), format!("{scope_label} x{threads}{mode_label}"));
     // A slot left empty means its worker died of an uncontained panic
@@ -1452,18 +1410,11 @@ mod tests {
 
     #[test]
     fn schedule_names_round_trip() {
-        for p in [
-            SchedulePolicy::Steal,
-            SchedulePolicy::Fifo,
-            SchedulePolicy::Learned,
-        ] {
+        for p in [SchedulePolicy::Steal, SchedulePolicy::Fifo] {
             assert_eq!(p.name().parse::<SchedulePolicy>(), Ok(p));
         }
-        let err = "lifo".parse::<SchedulePolicy>().unwrap_err();
-        assert!(
-            err.contains("steal") && err.contains("fifo") && err.contains("learned"),
-            "{err}"
-        );
+        let err = "learned".parse::<SchedulePolicy>().unwrap_err();
+        assert!(err.contains("steal, fifo)"), "{err}");
     }
 
     #[test]
@@ -1532,42 +1483,5 @@ mod tests {
         let report = session.run(&sys);
         assert!(report.results.iter().all(|r| !r.cached));
         assert!(session.take_verdict_cache().unwrap().is_empty());
-    }
-
-    #[test]
-    fn learned_plan_reorders_by_recorded_cost() {
-        use japrove_obs::{FeatureStore, RunRecord};
-        let sys = two_counter_sys();
-        let design = format!("{:016x}", sys.structural_hash());
-        // All four cones are the same size, so the proxy keeps
-        // declaration order; the store says property 3 dwarfs the rest.
-        let mut store = FeatureStore::default();
-        for (name, time) in [
-            ("c0_ok", 10),
-            ("c0_tight", 10),
-            ("c1_ok", 10),
-            ("c1_tight", 9000),
-        ] {
-            store.upsert(RunRecord {
-                design: design.clone(),
-                property: name.into(),
-                mode: "parallel".into(),
-                verdict: "holds".into(),
-                time_us: time,
-                frames: 1,
-                conflicts: time,
-                decisions: time,
-                propagations: 0,
-                restarts: 0,
-            });
-        }
-        let model = CostModel::from_store(&store, &sys);
-        let proxy = Session::parallel(SeparateOptions::global(), 1).plan(&sys);
-        let learned = Session::parallel(SeparateOptions::global(), 1)
-            .schedule(SchedulePolicy::Learned)
-            .cost_model(model)
-            .plan(&sys);
-        assert_eq!(learned.dispatch_order()[0], PropertyId::new(3));
-        assert_ne!(proxy.dispatch_order(), learned.dispatch_order());
     }
 }

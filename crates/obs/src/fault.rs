@@ -16,7 +16,6 @@
 //! | `check_one`          | property name | `panic`, `delay`   |
 //! | `joint_attempt`      | design name   | `panic`, `delay`   |
 //! | `enum_round`         | property name | `panic`, `delay`   |
-//! | `feature_store_save` | file name     | `truncate`         |
 //! | `verdict_cache_save` | file name     | `truncate`         |
 //!
 //! With no plan installed (the default) every probe is one atomic
@@ -336,7 +335,7 @@ mod tests {
         // their own process).
         install(FaultPlan::parse("truncate@verdict_cache_save:1:10", 0).unwrap());
         assert_eq!(truncation("verdict_cache_save", "cache.jsonl"), Some(10));
-        assert_eq!(truncation("feature_store_save", "cache.jsonl"), None);
+        assert_eq!(truncation("check_one", "cache.jsonl"), None);
         fire("check_one", "p0"); // no rule for this site: a no-op
         clear();
         assert!(active().is_none());

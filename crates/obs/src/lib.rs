@@ -13,16 +13,13 @@
 //!   schema check CI runs on emitted traces.
 //! * [`metrics`] — aggregates a journal into the `--metrics`
 //!   phase-breakdown table.
-//! * [`FeatureStore`] / [`RunRecord`] — persistent per-(design,
-//!   property) cost records across runs: the substrate for learned
-//!   scheduling.
 //! * [`fault`] — the deterministic fault-injection harness: a seeded
 //!   [`FaultPlan`](fault::FaultPlan) injects panics, delays and torn
 //!   store writes at named sites, so chaos behavior reproduces in
 //!   tests and CI.
-//! * [`persist`] — checksummed-line atomic JSONL writes, shared by the
-//!   feature store and the verdict cache: a crash between saves never
-//!   yields an unreadable store.
+//! * [`persist`] — checksummed-line atomic JSONL writes, used by the
+//!   verdict cache: a crash between saves never yields an unreadable
+//!   store.
 //!
 //! This crate depends on nothing but `std`, so every other crate in
 //! the workspace can report into it.
@@ -51,7 +48,5 @@ pub mod journal;
 pub mod json;
 pub mod metrics;
 pub mod persist;
-pub mod record;
 
 pub use journal::{Event, EventKind, Journal, Phase, SchemaError, SpanGuard, SAMPLE_INTERVAL};
-pub use record::{FeatureStore, RunRecord, StoreError};

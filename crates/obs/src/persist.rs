@@ -1,9 +1,8 @@
 //! Crash-safe JSONL persistence: checksummed lines and atomic writes.
 //!
-//! Both persistent stores (the feature store and the verdict cache)
-//! save through [`atomic_write`]: the full contents go to a sibling
-//! temporary file, which is fsynced and then atomically renamed over
-//! the target. A reader — or a process killed between saves — only
+//! The persistent verdict cache saves through [`atomic_write`]: the
+//! full contents go to a sibling temporary file, which is fsynced and
+//! then atomically renamed over the target. A reader — or a process killed between saves — only
 //! ever sees the old complete file or the new complete file, never a
 //! torn mix.
 //!
@@ -132,8 +131,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("japrove_persist_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("store.jsonl");
-        atomic_write(&path, "first\n", "feature_store_save").unwrap();
-        atomic_write(&path, "second\n", "feature_store_save").unwrap();
+        atomic_write(&path, "first\n", "verdict_cache_save").unwrap();
+        atomic_write(&path, "second\n", "verdict_cache_save").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "second\n");
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()

@@ -6,8 +6,7 @@
 //! with models and unsat cores, budgets and statistics. Keeping this
 //! interface narrow and object-safe lets a portfolio assign a
 //! *different* backend to every property (the per-property engine
-//! choice that TIUP-style configurations exploit) and leaves a slot for
-//! an out-of-tree solver such as CaDiCaL behind a feature gate.
+//! choice that TIUP-style configurations exploit).
 //!
 //! In-tree backends:
 //!
@@ -15,9 +14,7 @@
 //!   non-chronological backjumping;
 //! * [`Solver::chronological`] (`BackendChoice::ChronoCdcl`) — the
 //!   same CDCL machinery (clause store, VSIDS heap, learning) with
-//!   *chronological* backtracking: one decision level per conflict;
-//! * `CadicalBackend` (`BackendChoice::Cadical`, feature `cadical`) —
-//!   the wiring point for a CaDiCaL FFI; see [`crate::cadical`].
+//!   *chronological* backtracking: one decision level per conflict.
 //!
 //! # Examples
 //!
@@ -249,33 +246,18 @@ pub enum BackendChoice {
     /// [`BackendChoice::Cdcl`]; the search trajectory, and with it the
     /// models, generalizations and runtimes, differ.
     ChronoCdcl,
-    /// The CaDiCaL FFI slot (currently a documented stub that delegates
-    /// to the in-tree CDCL solver; see [`crate::cadical`]).
-    #[cfg(feature = "cadical")]
-    Cadical,
 }
 
 impl BackendChoice {
-    /// Every backend compiled into this build, in registration order.
-    /// Differential tests iterate this to enforce verdict parity.
-    #[cfg(not(feature = "cadical"))]
+    /// Every backend, in registration order. Differential tests
+    /// iterate this to enforce verdict parity.
     pub const ALL: &'static [BackendChoice] = &[BackendChoice::Cdcl, BackendChoice::ChronoCdcl];
-    /// Every backend compiled into this build, in registration order.
-    /// Differential tests iterate this to enforce verdict parity.
-    #[cfg(feature = "cadical")]
-    pub const ALL: &'static [BackendChoice] = &[
-        BackendChoice::Cdcl,
-        BackendChoice::ChronoCdcl,
-        BackendChoice::Cadical,
-    ];
 
     /// Builds a fresh, empty solver of this backend.
     pub fn build(self) -> Box<dyn SatBackend> {
         match self {
             BackendChoice::Cdcl => Box::new(Solver::new()),
             BackendChoice::ChronoCdcl => Box::new(Solver::chronological()),
-            #[cfg(feature = "cadical")]
-            BackendChoice::Cadical => Box::new(crate::cadical::CadicalBackend::new()),
         }
     }
 
@@ -285,8 +267,6 @@ impl BackendChoice {
         match self {
             BackendChoice::Cdcl => "cdcl",
             BackendChoice::ChronoCdcl => "chrono-cdcl",
-            #[cfg(feature = "cadical")]
-            BackendChoice::Cadical => "cadical",
         }
     }
 }
@@ -304,8 +284,6 @@ impl FromStr for BackendChoice {
         match s {
             "cdcl" => Ok(BackendChoice::Cdcl),
             "chrono" | "chrono-cdcl" => Ok(BackendChoice::ChronoCdcl),
-            #[cfg(feature = "cadical")]
-            "cadical" => Ok(BackendChoice::Cadical),
             other => Err(format!(
                 "unknown backend '{other}' (available: {})",
                 BackendChoice::ALL

@@ -15,9 +15,8 @@
 //! * the [`SatBackend`] trait and [`BackendChoice`] registry: the
 //!   engines talk to the solver only through this object-safe
 //!   interface, so every property of a multi-property run can be
-//!   assigned its own backend ([`Solver`], the chronological
-//!   [`Solver::chronological`] variant, or — behind the `cadical`
-//!   feature — the CaDiCaL FFI slot).
+//!   assigned its own backend ([`Solver`] or the chronological
+//!   [`Solver::chronological`] variant).
 //!
 //! # Examples
 //!
@@ -38,8 +37,6 @@
 
 mod backend;
 mod budget;
-#[cfg(feature = "cadical")]
-pub mod cadical;
 mod heap;
 mod solver;
 mod stats;

@@ -8,14 +8,14 @@
 
 use japrove::core::{
     enumerate_report, grouped_verify, local_assumptions, mine_verify, validate_debugging_set,
-    AffinityMetric, ClusteredOptions, CostModel, EnumOptions, GroupingOptions, JointOptions,
-    MultiReport, Projection, SchedulePolicy, SeparateOptions, Session, VerdictCache,
+    AffinityMetric, ClusteredOptions, EnumOptions, GroupingOptions, JointOptions, MultiReport,
+    Projection, SchedulePolicy, SeparateOptions, Session, VerdictCache,
 };
 use japrove::ic3::Lifting;
 use japrove::mine::MineOptions;
 use japrove::obs::json::Value;
 use japrove::obs::metrics::{phase_breakdown, render_breakdown, share_base_us};
-use japrove::obs::{journal::parse_jsonl, FeatureStore, Journal, Phase, RunRecord};
+use japrove::obs::{journal::parse_jsonl, Journal, Phase};
 use japrove::sat::BackendChoice;
 use japrove::tsys::{write_witness, TransitionSystem};
 use std::process::ExitCode;
@@ -36,10 +36,8 @@ OPTIONS:
                               [default: hybrid]
     --threads <N>             workers for the parallel and clustered
                               modes [default: 2]
-    --schedule <steal|fifo|learned>
-                              parallel dispatch: incremental work-stealing,
-                              the cold FIFO baseline, or stealing over a
-                              cost-model dispatch order [default: steal]
+    --schedule <steal|fifo>   parallel dispatch: incremental work-stealing
+                              or the cold FIFO baseline [default: steal]
     --backend <cdcl|chrono>   SAT backend for every engine run
                               [default: cdcl]
     --per-property <SECS>     time limit per property
@@ -80,11 +78,6 @@ OPTIONS:
     --metrics                 print the per-phase time breakdown
     --json <FILE>             write the report (with per-property solver
                               stats) as JSON
-    --feature-store <FILE>    merge per-property cost records into a
-                              persistent JSONL feature store
-    --cost-model <FILE>       feature store to read per-property cost
-                              predictions from (defaults to the
-                              --feature-store file when given)
     --verdict-cache <FILE>    read/write a verdict cache keyed by
                               (cone structural hash, property); warm
                               hits re-certify the stored evidence
@@ -94,8 +87,7 @@ OPTIONS:
     --fault-plan <SPEC>       deterministic fault injection: ';'-separated
                               clauses panic@SITE:RATE, delay@SITE:RATE:MILLIS
                               or truncate@SITE:RATE:BYTES (sites: check_one,
-                              joint_attempt, enum_round,
-                              feature_store_save, verdict_cache_save)
+                              joint_attempt, enum_round, verdict_cache_save)
     --fault-seed <N>          seed for --fault-plan decisions [default: 0]
     --witness-dir <DIR>       write AIGER witnesses for failing properties
     --validate                re-check the debugging-set guarantees
@@ -139,8 +131,6 @@ struct Cli {
     trace_out: Option<String>,
     metrics: bool,
     json_out: Option<String>,
-    feature_store: Option<String>,
-    cost_model: Option<String>,
     verdict_cache: Option<String>,
     check_trace: Option<String>,
     witness_dir: Option<String>,
@@ -174,8 +164,6 @@ fn parse_args() -> Result<Cli, String> {
         trace_out: None,
         metrics: false,
         json_out: None,
-        feature_store: None,
-        cost_model: None,
         verdict_cache: None,
         check_trace: None,
         witness_dir: None,
@@ -204,30 +192,9 @@ fn parse_args() -> Result<Cli, String> {
                     .ok_or_else(|| "invalid --threads (need an integer >= 1)".to_string())?
             }
             "--schedule" => cli.schedule = value("--schedule")?.parse()?,
-            "--per-property" => {
-                let secs: f64 = value("--per-property")?
-                    .parse()
-                    .map_err(|_| "invalid --per-property".to_string())?;
-                cli.per_property = Some(Duration::from_secs_f64(secs));
-            }
-            "--total" => {
-                let secs: f64 = value("--total")?
-                    .parse()
-                    .map_err(|_| "invalid --total".to_string())?;
-                cli.total = Some(Duration::from_secs_f64(secs));
-            }
-            "--property-timeout" => {
-                let secs: f64 = value("--property-timeout")?
-                    .parse()
-                    .ok()
-                    .filter(|&s: &f64| s > 0.0 && s.is_finite())
-                    .ok_or_else(|| {
-                        "invalid --property-timeout (need seconds as a positive number, \
-                         e.g. --property-timeout 2.5)"
-                            .to_string()
-                    })?;
-                cli.property_timeout = Some(Duration::from_secs_f64(secs));
-            }
+            "--per-property" => cli.per_property = Some(seconds(&arg, &value(&arg)?)?),
+            "--total" => cli.total = Some(seconds(&arg, &value(&arg)?)?),
+            "--property-timeout" => cli.property_timeout = Some(seconds(&arg, &value(&arg)?)?),
             "--retries" => {
                 cli.retries = Some(value("--retries")?.parse().map_err(|_| {
                     "invalid --retries (need an integer >= 0, e.g. --retries 2)".to_string()
@@ -270,8 +237,6 @@ fn parse_args() -> Result<Cli, String> {
             "--trace-out" => cli.trace_out = Some(value("--trace-out")?),
             "--metrics" => cli.metrics = true,
             "--json" => cli.json_out = Some(value("--json")?),
-            "--feature-store" => cli.feature_store = Some(value("--feature-store")?),
-            "--cost-model" => cli.cost_model = Some(value("--cost-model")?),
             "--verdict-cache" => cli.verdict_cache = Some(value("--verdict-cache")?),
             "--check-trace" => cli.check_trace = Some(value("--check-trace")?),
             "--witness-dir" => cli.witness_dir = Some(value("--witness-dir")?),
@@ -304,6 +269,18 @@ fn parse_args() -> Result<Cli, String> {
         return Err("--mine-depth only makes sense with --mine".into());
     }
     Ok(cli)
+}
+
+/// Parses `raw`, the value of the duration flag `name`: seconds as a
+/// positive number small enough to be a [`Duration`].
+fn seconds(name: &str, raw: &str) -> Result<Duration, String> {
+    raw.parse::<f64>()
+        .ok()
+        .filter(|&s| s > 0.0)
+        .and_then(|s| Duration::try_from_secs_f64(s).ok())
+        .ok_or_else(|| {
+            format!("invalid {name} '{raw}' (need seconds as a positive number, e.g. {name} 2.5)")
+        })
 }
 
 /// The enumeration options implied by the flags, or `None` when
@@ -373,20 +350,6 @@ fn run(cli: &Cli, journal: &Journal) -> Result<(MultiReport, TransitionSystem), 
         opts
     };
 
-    // The cost model reads from --cost-model when given, else from the
-    // --feature-store file, so a store that is being written warms the
-    // very next run without extra flags.
-    let model_store = match cli.cost_model.as_ref().or(cli.feature_store.as_ref()) {
-        Some(path) => {
-            let (store, skipped) = FeatureStore::load_lossy(path)
-                .map_err(|e| format!("cannot read feature store {path}: {e}"))?;
-            if skipped > 0 {
-                eprintln!("warning: feature store {path}: skipped {skipped} malformed records");
-            }
-            Some(store)
-        }
-        None => None,
-    };
     let mut cache_slot = match &cli.verdict_cache {
         Some(path) => {
             let (cache, skipped) = VerdictCache::load_lossy(path)
@@ -402,7 +365,7 @@ fn run(cli: &Cli, journal: &Journal) -> Result<(MultiReport, TransitionSystem), 
     let _run_span = journal.span_labeled(Phase::Run, cli.mode.as_str());
     // Every Session-backed mode funnels through one closure so the mine
     // path (which verifies the *mined* system) shares the exact same
-    // wiring: the cost model keys off whichever system is verified.
+    // wiring.
     let enum_opts = enum_options(cli, journal);
     let mut verify = |sys: &TransitionSystem| match cli.mode.as_str() {
         "grouped" => {
@@ -433,9 +396,6 @@ fn run(cli: &Cli, journal: &Journal) -> Result<(MultiReport, TransitionSystem), 
                 }
                 other => unreachable!("mode '{other}' slipped past validation"),
             };
-            if let Some(store) = &model_store {
-                session = session.cost_model(CostModel::from_store(store, sys));
-            }
             if let Some(cache) = cache_slot.take() {
                 session = session.verdict_cache(cache);
             }
@@ -478,7 +438,7 @@ fn run(cli: &Cli, journal: &Journal) -> Result<(MultiReport, TransitionSystem), 
                 .save(path)
                 .map_err(|e| format!("cannot write verdict cache {path}: {e}"))?;
             let hits = report.results.iter().filter(|r| r.cached).count();
-            // Deterministic line the CI schedule-smoke job greps.
+            // Deterministic line the CI verdict-cache-smoke job greps.
             println!("verdict cache {path}: {hits} hits, {} entries", cache.len());
         }
     }
@@ -623,46 +583,6 @@ fn report_json(report: &MultiReport) -> Value {
     ])
 }
 
-/// Merges this run's per-property records into the JSONL feature store
-/// at `path`.
-fn update_feature_store(
-    path: &str,
-    sys: &TransitionSystem,
-    report: &MultiReport,
-    mode: &str,
-) -> Result<usize, String> {
-    let (mut store, skipped) = FeatureStore::load_lossy(path).map_err(|e| e.to_string())?;
-    if skipped > 0 {
-        eprintln!("warning: feature store {path}: skipped {skipped} malformed records");
-    }
-    let design = format!("{:016x}", sys.structural_hash());
-    // Cache hits cost ~no solver time; recording them would teach the
-    // cost model that the property is free. Only fresh runs train it.
-    for r in report.results.iter().filter(|r| !r.cached) {
-        let verdict = if r.holds() {
-            "holds"
-        } else if r.fails() {
-            "fails"
-        } else {
-            "unknown"
-        };
-        store.upsert(RunRecord {
-            design: design.clone(),
-            property: r.name.clone(),
-            mode: mode.to_string(),
-            verdict: verdict.into(),
-            time_us: r.time.as_micros() as u64,
-            frames: r.frames as u64,
-            conflicts: r.stats.sat.conflicts,
-            decisions: r.stats.sat.decisions,
-            propagations: r.stats.sat.propagations,
-            restarts: r.stats.sat.restarts,
-        });
-    }
-    store.save(path).map_err(|e| e.to_string())?;
-    Ok(store.len())
-}
-
 /// The `--check-trace` mode: parse a JSONL trace strictly, rejecting
 /// unknown event kinds; the CI smoke job gates on the exit code.
 fn check_trace(path: &str) -> ExitCode {
@@ -756,15 +676,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
         eprintln!("report written to {path}");
-    }
-    if let Some(path) = &cli.feature_store {
-        match update_feature_store(path, &sys, &report, &cli.mode) {
-            Ok(n) => eprintln!("feature store {path}: {n} records"),
-            Err(e) => {
-                eprintln!("error updating feature store {path}: {e}");
-                return ExitCode::from(2);
-            }
-        }
     }
 
     if cli.quiet {

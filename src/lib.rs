@@ -22,7 +22,7 @@
 //!   debugging sets, parallel drivers, mining composition,
 //! * [`genbench`] — synthetic multi-property benchmark designs,
 //! * [`obs`] — the run journal: structured tracing, per-phase
-//!   metrics and the cross-run feature store.
+//!   metrics, fault injection and crash-safe store writes.
 //!
 //! # Quickstart
 //!

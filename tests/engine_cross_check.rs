@@ -3,8 +3,8 @@
 //! counterexample must replay, and every certificate must re-verify.
 
 use japrove::core::{
-    clustered_verify, ja_verify, parallel_clustered_verify, parallel_ja_verify_with,
-    separate_verify, AffinityMetric, ClusteredOptions, JointOptions, ParallelMode, SeparateOptions,
+    clustered_verify, ja_verify, parallel_clustered_verify, separate_verify, AffinityMetric,
+    ClusteredOptions, JointOptions, SchedulePolicy, SeparateOptions, Session,
 };
 use japrove::genbench::FamilyParams;
 use japrove::ic3::{verify_certificate, Bmc, BmcResult, CheckOutcome, Ic3, Ic3Options};
@@ -188,7 +188,7 @@ fn parallel_verdicts_match_sequential_under_stress() {
     // The work-stealing driver must be verdict-deterministic: for every
     // generated design, every thread count and both re-use settings,
     // `parallel_ja_verify` agrees with the sequential `ja_verify` —
-    // and so does the cold/FIFO reference mode. Scheduling order and
+    // and so does the cold/FIFO reference schedule. Scheduling order and
     // clause exchange may differ run to run; verdicts may not.
     for design in random_designs() {
         let sys = &design.sys;
@@ -196,8 +196,10 @@ fn parallel_verdicts_match_sequential_under_stress() {
             let opts = SeparateOptions::local().reuse(reuse);
             let seq = ja_verify(sys, &opts);
             for threads in [1usize, 2, 8] {
-                for mode in [ParallelMode::Incremental, ParallelMode::ColdFifo] {
-                    let par = parallel_ja_verify_with(sys, threads, &opts, mode);
+                for schedule in [SchedulePolicy::Steal, SchedulePolicy::Fifo] {
+                    let par = Session::parallel(opts.clone(), threads)
+                        .schedule(schedule)
+                        .run(sys);
                     assert_eq!(seq.results.len(), par.results.len());
                     for (a, b) in seq.results.iter().zip(&par.results) {
                         assert_eq!(a.id, b.id);
@@ -205,14 +207,14 @@ fn parallel_verdicts_match_sequential_under_stress() {
                         assert_eq!(
                             a.holds(),
                             b.holds(),
-                            "{}/{}: reuse={reuse} threads={threads} mode={mode:?}",
+                            "{}/{}: reuse={reuse} threads={threads} schedule={schedule}",
                             sys.name(),
                             a.name
                         );
                         assert_eq!(
                             a.fails(),
                             b.fails(),
-                            "{}/{}: reuse={reuse} threads={threads} mode={mode:?}",
+                            "{}/{}: reuse={reuse} threads={threads} schedule={schedule}",
                             sys.name(),
                             a.name
                         );
